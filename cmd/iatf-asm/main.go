@@ -7,6 +7,10 @@
 //	iatf-asm -op gemm -type d -mc 4 -nc 4 -k 4 [-template I] [-stages]
 //	iatf-asm -op trsm-tri -type s -m 4 -ncols 4
 //	iatf-asm -op trsm-rect -type d -mc 4 -nc 4 -k 8
+//	iatf-asm -emit amd64 -o internal/kernels/avx_amd64.s
+//
+// -emit amd64 writes the Go-assembler source of the AVX compute kernels
+// (the go generate step of internal/kernels) instead of printing IR.
 package main
 
 import (
@@ -35,8 +39,25 @@ func main() {
 		ncols  = flag.Int("ncols", 4, "triangular kernel column count")
 		tplStr = flag.String("template", "", "print a single GEMM template: I, M1, M2, E, SUB, SAVE")
 		stages = flag.Bool("stages", false, "show raw and optimized stages side by side info")
+		emit   = flag.String("emit", "", "write native kernels for an ISA instead (amd64)")
+		out    = flag.String("o", "", "output file for -emit (default stdout)")
 	)
 	flag.Parse()
+
+	if *emit != "" {
+		if *emit != "amd64" {
+			log.Fatalf("unknown -emit %q (want amd64)", *emit)
+		}
+		src := ktmpl.EmitAMD64()
+		if *out == "" {
+			os.Stdout.Write(src)
+			return
+		}
+		if err := os.WriteFile(*out, src, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	dt, err := vec.ParseDType(*dtype)
 	if err != nil {

@@ -219,7 +219,8 @@ func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 		}
-		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng)) }
+		// Auto workers, like the unchained calls (Chain defaults to one).
+		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng), iatf.WithWorkers(0)) }
 	}
 	nsOp, err := wcTime(calls, call)
 	if err != nil {
@@ -253,7 +254,8 @@ func wcChainSolve(n, count, calls int, chained bool) (float64, float64, error) {
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.Transpose, iatf.NonUnit, 1, a, b),
 		}
-		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng)) }
+		// Auto workers, like the unchained calls (Chain defaults to one).
+		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng), iatf.WithWorkers(0)) }
 	}
 	nsOp, err := wcTime(calls, call)
 	if err != nil {

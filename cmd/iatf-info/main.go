@@ -18,6 +18,7 @@ import (
 
 	"iatf"
 	"iatf/internal/core"
+	"iatf/internal/kernels"
 	"iatf/internal/ktmpl"
 	"iatf/internal/machine"
 	"iatf/internal/matrix"
@@ -403,6 +404,7 @@ func printTenants(asJSON bool) {
 
 func printKernels() {
 	fmt.Println("# Generated kernel registry (paper Table 1)")
+	fmt.Printf("native kernels ISA: %s (avx: real 4x4 GEMM/Rect/RectAdd and m<=5 Tri/TriMul)\n", kernels.ISA())
 	fmt.Printf("%-8s %-12s %-10s %s\n", "type", "routine", "main", "all sizes")
 	for _, dt := range vec.DTypes {
 		main := ktmpl.MainGEMMKernel(dt)
@@ -501,10 +503,19 @@ func printGEMMPlan(dt vec.DType, m, n, k, count int) {
 	fmt.Printf("# Execution plan: %sgemm %dx%dx%d, batch %d\n", dt, m, n, k, count)
 	fmt.Printf("  M tiles: %v\n", pl.MTiles)
 	fmt.Printf("  N tiles: %v\n", pl.NTiles)
-	fmt.Printf("  pack A: %v (no-packing fast path when false)\n", pl.PackA)
+	fmt.Printf("  kernels ISA: %s\n", kernels.ISA())
+	fmt.Printf("  A: %s, B: %s\n", packDecision(pl.PackA), packDecision(pl.PackB))
 	fmt.Printf("  super-batch: %d interleave groups (%d matrices)\n",
 		pl.GroupsPerBatch, pl.GroupsPerBatch*dt.Pack())
 	fmt.Printf("  kernel instructions per group: %d\n", pl.Instructions())
+}
+
+// packDecision names a plan's per-operand pack decision.
+func packDecision(packed bool) string {
+	if packed {
+		return "packed"
+	}
+	return "in-place"
 }
 
 func printTRMMPlan(dt vec.DType, m, n, count int) {
@@ -520,7 +531,9 @@ func printTRMMPlan(dt vec.DType, m, n, count int) {
 	fmt.Printf("# Execution plan: %strmm LNLN %dx%d, batch %d (extension)\n", dt, m, n, count)
 	fmt.Printf("  panels: %v\n", pl.Panels)
 	fmt.Printf("  column tiles: %v\n", pl.ColTiles)
-	fmt.Printf("  pack B: %v, reverse: %v, transpose: %v\n", pl.PackB, pl.ReverseB, pl.TransposeB)
+	fmt.Printf("  kernels ISA: %s\n", kernels.ISA())
+	fmt.Printf("  A: packed (triangle), B: %s, reverse: %v, transpose: %v\n",
+		packDecision(pl.PackB), pl.ReverseB, pl.TransposeB)
 	fmt.Printf("  super-batch: %d interleave groups\n", pl.GroupsPerBatch)
 }
 
@@ -555,7 +568,9 @@ func printTRSMPlan(dt vec.DType, m, n, count int) {
 	fmt.Printf("# Execution plan: %strsm LNLN %dx%d, batch %d\n", dt, m, n, count)
 	fmt.Printf("  panels: %v (register-resident triangle ≤ %d)\n", pl.Panels, ktmpl.MaxTriM(dt))
 	fmt.Printf("  column tiles: %v\n", pl.ColTiles)
-	fmt.Printf("  pack B: %v, reverse: %v, transpose: %v\n", pl.PackB, pl.ReverseB, pl.TransposeB)
+	fmt.Printf("  kernels ISA: %s\n", kernels.ISA())
+	fmt.Printf("  A: packed (triangle), B: %s, reverse: %v, transpose: %v\n",
+		packDecision(pl.PackB), pl.ReverseB, pl.TransposeB)
 	fmt.Printf("  super-batch: %d interleave groups\n", pl.GroupsPerBatch)
 }
 

@@ -85,10 +85,11 @@ func BenchmarkSteadyStateAllocsAuto(bm *testing.B) {
 }
 
 // TestPrepackedSteadyStateAllocs proves the pack-once warm path is
-// allocation-free beyond the dispatch fixtures: with both operands
+// allocation-free beyond the dispatch fixtures: with a packed operand
 // prepacked and the pack cache warm, a serial call neither packs nor
 // touches the buffer pools, leaving only the plan stack copy — the PR 3
-// acceptance bound of 2 allocs/call.
+// acceptance bound of 2 allocs/call. Transposed A is the operand the
+// native pack selector still packs (B is read in place).
 func TestPrepackedSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const count = 1024
@@ -100,11 +101,11 @@ func TestPrepackedSteadyStateAllocs(t *testing.T) {
 	eng := NewEngine()
 
 	call := func() {
-		if err := GEMMOn(eng, 1, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+		if err := GEMMOn(eng, 1, Transpose, NoTrans, float32(1), a, b, float32(1), c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	call() // warm: build the plan and both packed images
+	call() // warm: build the plan and A's packed image
 
 	before := eng.Stats()
 	allocs := testing.AllocsPerRun(50, call)
@@ -120,6 +121,34 @@ func TestPrepackedSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("warm prepacked GEMM allocates %.0f objects/call, want <= 2", allocs)
+	}
+}
+
+// TestInPlaceSteadyStateAllocs: operands the pack selector reads in place
+// (NN A and B) build no packed image even when opted into Prepack, and
+// the warm call stays within the same 2-alloc budget.
+func TestInPlaceSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	const count = 1024
+	a := Pack(randBatch[float32](rng, count, 8, 8))
+	b := Pack(randBatch[float32](rng, count, 8, 8))
+	c := Pack(randBatch[float32](rng, count, 8, 8))
+	a.Prepack()
+	b.Prepack()
+	eng := NewEngine()
+
+	call := func() {
+		if err := GEMMOn(eng, 1, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	allocs := testing.AllocsPerRun(50, call)
+	if st := eng.Stats(); st.PackCache.Builds != 0 || st.PackCache.Hits != 0 {
+		t.Errorf("in-place GEMM used the pack cache: %d builds, %d hits", st.PackCache.Builds, st.PackCache.Hits)
+	}
+	if allocs > 2 {
+		t.Errorf("warm in-place GEMM allocates %.0f objects/call, want <= 2", allocs)
 	}
 }
 

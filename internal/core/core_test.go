@@ -149,13 +149,13 @@ func TestGEMMBatchCountsAndPadding(t *testing.T) {
 
 func TestGEMMPlanDecisions(t *testing.T) {
 	tun := DefaultTuning()
-	// NN with M ≤ 4: A no-pack fast path.
+	// NN with M ≤ 4: A read in place.
 	pl, err := NewGEMMPlan(GEMMProblem{DT: vec.S, M: 3, N: 8, K: 5, Alpha: 1, Beta: 1, Count: 64}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.PackA {
-		t.Error("NN M=3 must use the A no-packing fast path")
+		t.Error("NN M=3 must read A in place")
 	}
 	// Transposed A always packs.
 	pl, err = NewGEMMPlan(GEMMProblem{DT: vec.S, M: 3, N: 8, K: 5, TransA: matrix.Transpose, Alpha: 1, Beta: 1, Count: 64}, tun)
@@ -165,13 +165,37 @@ func TestGEMMPlanDecisions(t *testing.T) {
 	if !pl.PackA {
 		t.Error("TN must pack A")
 	}
-	// M > 4 packs.
-	pl, err = NewGEMMPlan(GEMMProblem{DT: vec.S, M: 5, N: 8, K: 5, Alpha: 1, Beta: 1, Count: 64}, tun)
+	// M > 4: the native executor reads NN A in place over several row
+	// panels; the cycle-model arena, whose kernels read A at the packed
+	// stride, still packs it. B is read in place in both modes.
+	for _, tb := range []matrix.Trans{matrix.NoTrans, matrix.Transpose} {
+		pl, err = NewGEMMPlan(GEMMProblem{DT: vec.S, M: 5, N: 8, K: 5, TransB: tb, Alpha: 1, Beta: 1, Count: 64}, tun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.PackA || pl.PackB {
+			t.Errorf("N%v M=5: native PackA=%v PackB=%v, want both in place", tb, pl.PackA, pl.PackB)
+		}
+		if !pl.simPackA {
+			t.Error("M=5 must pack A in the cycle-model arena")
+		}
+	}
+	// Complex data and the ForcePackA ablation pack both operands.
+	pl, err = NewGEMMPlan(GEMMProblem{DT: vec.Z, M: 5, N: 8, K: 5, Alpha: 1, Beta: 1, Count: 64}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pl.PackA {
-		t.Error("M=5 must pack A")
+	if !pl.PackA || !pl.PackB {
+		t.Error("complex GEMM must pack A and B")
+	}
+	forced := tun
+	forced.ForcePackA = true
+	pl, err = NewGEMMPlan(GEMMProblem{DT: vec.S, M: 3, N: 8, K: 5, Alpha: 1, Beta: 1, Count: 64}, forced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pl.PackA || !pl.PackB || !pl.simPackA {
+		t.Error("ForcePackA must pack A and B")
 	}
 	// Tiling: 15 → 4+4+4+3 (Figure 4b).
 	pl, err = NewGEMMPlan(GEMMProblem{DT: vec.S, M: 15, N: 15, K: 15, Alpha: 1, Beta: 1, Count: 64}, tun)

@@ -90,7 +90,7 @@ func gemmLayout(pl *GEMMPlan, groups int) gemmOffsets {
 	o.c = o.b + groups*o.lenB
 	o.packA = o.c + groups*o.lenC
 	pa := 0
-	if pl.PackA {
+	if pl.simPackA {
 		pa = pl.GroupsPerBatch * o.lenA
 	}
 	o.packB = o.packA + pa
@@ -137,7 +137,7 @@ func runGEMM[E vec.Float](pl *GEMMPlan, ar *arena[E], o gemmOffsets, sim *machin
 		// Packing pass for the super-batch.
 		for g := sb; g < end; g++ {
 			slot := g - sb
-			if pl.PackA {
+			if pl.simPackA {
 				srcA := pack.Geom{Off: o.a + g*o.lenA, Rows: aRows, Cols: aCols, BlockLen: ar.bl}
 				dst := o.packA + slot*o.lenA
 				i0 := 0
@@ -170,7 +170,7 @@ func runGEMM[E vec.Float](pl *GEMMPlan, ar *arena[E], o gemmOffsets, sim *machin
 					if sim != nil {
 						sim.AddCycles(kernelDispatchCycles)
 					}
-					if pl.PackA {
+					if pl.simPackA {
 						vm.P[asm.PA] = o.packA + slot*o.lenA + (t.i0*p.K+kOff*t.mc)*ar.bl
 					} else {
 						vm.P[asm.PA] = o.a + g*o.lenA + kOff*p.M*ar.bl

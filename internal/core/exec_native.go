@@ -11,8 +11,9 @@ import (
 	"iatf/internal/vec"
 )
 
-// The native backend executes plans with the pure-Go kernels directly on
-// the compact storage — no simulation arena, no copies. Packing is done
+// The native backend executes plans with the native kernels (the amd64
+// AVX kernels where they apply, else the Go kernels) directly on the
+// compact storage — no simulation arena, no copies. Packing is done
 // with the same panel orders as the pack package (the VM/native
 // backend-equivalence tests pin them to each other bit for bit), but
 // reads and writes separate slices so operands stay in place.
@@ -95,8 +96,8 @@ func nscale[E vec.Float](data []E, n int, cplx bool, vl int, re, im float64) {
 		for lane := 0; lane < vl; lane++ {
 			x := float64(data[off+lane])
 			y := float64(data[off+vl+lane])
-			data[off+lane] = E(x*re - y*im)
-			data[off+vl+lane] = E(x*im + y*re)
+			data[off+lane] = E(float64(x*re) - float64(y*im))
+			data[off+vl+lane] = E(float64(x*im) + float64(y*re))
 		}
 	}
 }
@@ -185,6 +186,8 @@ func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, pre
 	lenB := p.K * p.N * bl
 	lenC := p.M * p.N * bl
 
+	transB := p.TransB == matrix.Transpose
+
 	gb := pl.GroupsPerBatch
 	needPackA := pl.PackA && preA == nil
 	needPackB := pl.PackB && preB == nil
@@ -259,21 +262,27 @@ func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, pre
 			for _, t := range pl.tiles {
 				kOff := 0
 				for _, kc := range pl.KChunks {
+					// Operands the pack selector left in place are read
+					// at their compact strides; packed panels (per call
+					// or prepacked) at the panel strides.
 					var pa, pb []E
+					st := kernels.Strides{A: t.mc, BK: t.nc, BN: 1, C: p.M}
 					switch {
 					case !pl.PackA:
-						pa = a.Data[g*lenA+kOff*p.M*bl:]
+						pa = a.Data[g*lenA+(kOff*p.M+t.i0)*bl:]
+						st.A = p.M
 					case preA != nil:
 						pa = preA[g*lenA+(t.i0*p.K+kOff*t.mc)*bl:]
 					default:
 						pa = packA[slot*lenA+(t.i0*p.K+kOff*t.mc)*bl:]
 					}
 					switch {
+					case !pl.PackB && transB:
+						pb = b.Data[g*lenB+(kOff*p.N+t.j0)*bl:]
+						st.BK = p.N
 					case !pl.PackB:
-						// No-packing fast path: B is stored N×K and the
-						// plan has a single N tile, so the trans pack
-						// order coincides with storage order.
-						pb = b.Data[g*lenB+kOff*p.N*bl:]
+						pb = b.Data[g*lenB+(t.j0*p.K+kOff)*bl:]
+						st.BK, st.BN = 1, p.K
 					case preB != nil:
 						pb = preB[g*lenB+(t.j0*p.K+kOff*t.nc)*bl:]
 					default:
@@ -286,7 +295,7 @@ func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, pre
 					if cplx {
 						kernels.GEMMCplx(pa, pb, cb, t.mc, t.nc, kc, p.M, vl, alphaRe, alphaIm, chunkOvw)
 					} else {
-						kernels.GEMM(pa, pb, cb, t.mc, t.nc, kc, p.M, vl, alphaRe, chunkOvw)
+						kernels.GEMMStrided(pa, pb, cb, t.mc, t.nc, kc, st, vl, alphaRe, chunkOvw)
 					}
 					kOff += kc
 				}
@@ -352,7 +361,7 @@ func npackTri[E vec.Float](src []E, m int, reverse, swap, unit, recip bool, pane
 					for lane := 0; lane < vl; lane++ {
 						re := float64(src[s+lane])
 						im := float64(src[s+vl+lane])
-						den := re*re + im*im
+						den := float64(re*re) + float64(im*im)
 						if den != 0 {
 							dst[cur+lane] = E(re / den)
 							dst[cur+vl+lane] = E(-im / den)

@@ -9,14 +9,18 @@ import (
 	"iatf/internal/vec"
 )
 
-// The native Go backend and the IR/VM backend execute the same plan with
-// the same lane arithmetic, so their results must agree bit for bit.
+// The native backend (AVX or Go kernels) and the IR/VM backend execute
+// the same plan with the same lane arithmetic, so their results must
+// agree bit for bit.
 func TestNativeMatchesVMBackendGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, dt := range vec.DTypes {
 		for _, mnk := range [][3]int{{3, 3, 3}, {7, 6, 5}, {15, 15, 15}} {
+			// Every mode: the native executor reads NN A and both B modes
+			// in place, the VM arena packs them.
 			for _, mode := range [][2]matrix.Trans{
-				{matrix.NoTrans, matrix.NoTrans}, {matrix.Transpose, matrix.Transpose},
+				{matrix.NoTrans, matrix.NoTrans}, {matrix.NoTrans, matrix.Transpose},
+				{matrix.Transpose, matrix.NoTrans}, {matrix.Transpose, matrix.Transpose},
 			} {
 				p := GEMMProblem{DT: dt, M: mnk[0], N: mnk[1], K: mnk[2],
 					TransA: mode[0], TransB: mode[1], Alpha: 1.5, Beta: 1, Count: 6}

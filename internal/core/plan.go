@@ -4,9 +4,8 @@
 //
 //   - the Batch Counter picks how many interleave groups to pack per
 //     super-batch so the packed working set stays inside the L1 data cache;
-//   - the Pack Selector chooses packing kernels, or the no-packing fast
-//     path when the computing kernel can already walk the operand
-//     sequentially;
+//   - the Pack Selector chooses packing kernels, or reads an operand in
+//     place when the computing kernel can walk it at its storage strides;
 //   - the Execution Plan Generator tiles the problem over the Table 1
 //     kernel sizes, instantiates the install-time kernel templates for the
 //     concrete K, and schedules them through the kernel optimizer.
@@ -40,7 +39,8 @@ type Tuning struct {
 	DisablePrefetch bool
 	// ForceGroupsPerBatch overrides the batch counter (ablation); 0 = auto.
 	ForceGroupsPerBatch int
-	// ForcePackA disables the A no-packing fast path (ablation).
+	// ForcePackA packs every GEMM operand, disabling in-place reads
+	// (ablation).
 	ForcePackA bool
 	// VL overrides the vector lane count (the MKL-compact model); 0 = native.
 	VL int
@@ -187,8 +187,8 @@ type GEMMPlan struct {
 
 	MTiles, NTiles []int
 	KChunks        []int // reduction split into bounded kernel lengths
-	PackA          bool  // false = no-packing fast path for A (§4.4)
-	PackB          bool  // false = no-packing fast path for B (native executor)
+	PackA          bool  // native executor packs A; false = read in place (§4.4)
+	PackB          bool  // native executor packs B; false = read in place
 	GroupsPerBatch int   // Batch Counter decision, in interleave groups
 
 	// Labels is an optional pprof label context adopted by pool workers
@@ -201,7 +201,8 @@ type GEMMPlan struct {
 	// stamped onto the per-call stack copy only, never the cached plan.
 	RT *Runtime
 
-	tiles []tile
+	simPackA bool // the cycle-model arena packs A (exec.go)
+	tiles    []tile
 }
 
 // NewGEMMPlan runs the run-time stage for a GEMM problem.
@@ -237,19 +238,20 @@ func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, er
 	pl.MTiles = ktmpl.SplitDim(p.M, msizes)
 	pl.NTiles = ktmpl.SplitDim(p.N, nsizes)
 
-	// Pack Selector: A skips packing in non-transposed mode when a single
-	// row panel covers M — the native compact order already is the
-	// N-shaped panel.
-	mainMC := msizes[0]
-	pl.PackA = tun.ForcePackA || !(p.TransA == matrix.NoTrans && p.M <= mainMC)
+	// Pack Selector (native executor): the strided kernels walk compact
+	// storage in place wherever adjacent rows of an A panel are adjacent
+	// blocks — non-transposed A, and B in both modes (Strides). Only
+	// transposed A, whose rows are K blocks apart, and complex data,
+	// whose kernels take packed panels only, are packed.
+	cplx := p.DT.IsComplex()
+	pl.PackA = tun.ForcePackA || cplx || p.TransA == matrix.Transpose
+	pl.PackB = tun.ForcePackA || cplx
 
-	// B skips packing in transposed mode when a single column panel covers
-	// N: B is stored N×K, so block (l, cc) sits at (l·N+cc)·bl — exactly
-	// the Z-shaped panel order with j0 = 0 — and the kernels can walk the
-	// operand in place. The cycle-model backend keeps packing B (its arena
-	// layout predates the fast path); the copy is exact, so both backends
-	// stay bit-identical.
-	pl.PackB = tun.ForcePackA || !(p.TransB == matrix.Transpose && len(pl.NTiles) == 1)
+	// The cycle-model backend keeps the paper's rule (§4.4): its
+	// generated kernels read A at the packed stride, so A skips packing
+	// only in non-transposed mode when a single row panel covers M, and
+	// its arena always packs B.
+	pl.simPackA = tun.ForcePackA || !(p.TransA == matrix.NoTrans && p.M <= msizes[0])
 
 	// Batch Counter: packed A + packed B + the C tile per group must fit
 	// the L1 budget.

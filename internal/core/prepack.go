@@ -21,8 +21,8 @@ import (
 // image serves any scalar combination.
 
 // PrepackALen returns the element length of a full prepacked A for
-// `groups` interleave groups, or 0 when the plan's A no-packing fast
-// path makes prepacking pointless.
+// `groups` interleave groups, or 0 when the plan reads A in place and
+// prepacking is pointless.
 func (pl *GEMMPlan) PrepackALen(groups int) int {
 	if !pl.PackA {
 		return 0
@@ -46,7 +46,7 @@ func (pl *GEMMPlan) PrepackBLen(groups int) int {
 func PrepackGEMMA[E vec.Float](pl *GEMMPlan, a *layout.Compact[E], dst []E) error {
 	p := pl.P
 	if !pl.PackA {
-		return fmt.Errorf("core: plan uses the A no-packing fast path; nothing to prepack")
+		return fmt.Errorf("core: plan reads A in place; nothing to prepack")
 	}
 	want := pl.PrepackALen(a.Groups())
 	if len(dst) < want {
@@ -67,7 +67,7 @@ func PrepackGEMMA[E vec.Float](pl *GEMMPlan, a *layout.Compact[E], dst []E) erro
 func PrepackGEMMB[E vec.Float](pl *GEMMPlan, b *layout.Compact[E], dst []E) error {
 	p := pl.P
 	if !pl.PackB {
-		return fmt.Errorf("core: plan uses the B no-packing fast path; nothing to prepack")
+		return fmt.Errorf("core: plan reads B in place; nothing to prepack")
 	}
 	want := pl.PrepackBLen(b.Groups())
 	if len(dst) < want {

@@ -19,7 +19,7 @@ func TestPrepackedGEMMParity(t *testing.T) {
 		for _, mnk := range [][3]int{{4, 4, 4}, {7, 6, 5}, {15, 15, 15}} {
 			for _, mode := range [][2]matrix.Trans{
 				{matrix.NoTrans, matrix.NoTrans},
-				// NT drives the B no-packing fast path when N fits one tile.
+				// NT reads Bᵀ in place; TT packs A and reads Bᵀ in place.
 				{matrix.NoTrans, matrix.Transpose},
 				{matrix.Transpose, matrix.Transpose},
 			} {

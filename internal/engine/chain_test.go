@@ -268,18 +268,29 @@ func TestChainFactorNeverFuses(t *testing.T) {
 func TestChainQueueFull(t *testing.T) {
 	e := New(core.DefaultTuning())
 	e.SetQueueCapacity(1)
-	_, gate := holdDispatcher(e)
+	entered, gate := holdDispatcher(e)
 	defer close(gate)
 	rng := rand.New(rand.NewSource(94))
 	ctx := context.Background()
 
-	a, b := chainTriOperands(rng, 7, 8, 4)
-	// The held dispatcher never drains: first submit occupies the slot.
-	if _, err := e.SubmitChain(ctx, fusableChain(a, b), nil); err != nil {
+	submit := func() error {
+		a, b := chainTriOperands(rng, 7, 8, 4)
+		_, err := e.SubmitChain(ctx, fusableChain(a, b), nil)
+		return err
+	}
+	// First chain: dequeued by the dispatcher, which parks in the hook.
+	// Waiting for it makes the queue state deterministic: the second
+	// submit then occupies the single slot and the third overflows.
+	if err := submit(); err != nil {
 		t.Fatal(err)
 	}
-	a2, b2 := chainTriOperands(rng, 7, 8, 4)
-	if _, err := e.SubmitChain(ctx, fusableChain(a2, b2), nil); !errors.Is(err, ErrQueueFull) {
+	if n := <-entered; n != 1 {
+		t.Fatalf("dispatcher drained %d, want 1", n)
+	}
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := submit(); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	if got := e.Stats().Queue.Rejected; got != 1 {

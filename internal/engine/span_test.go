@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"iatf/internal/core"
+	"iatf/internal/matrix"
 	"iatf/internal/obs"
 )
 
@@ -26,11 +27,16 @@ func TestSpanSyncLifecycle(t *testing.T) {
 		mu.Unlock()
 	})
 	rng := rand.New(rand.NewSource(90))
-	a, b, c := gemmReqOperands(rng, 16, 6, 5, 7)
+	// Transposed A (stored K×M) is the operand the pack selector packs,
+	// so its prepacked image exercises the cache counters.
+	_, b, c := gemmReqOperands(rng, 16, 6, 5, 7)
+	a := randCompact(rng, 16, 7, 6)
 	a.EnablePrepack()
+	desc := asyncGEMMDesc
+	desc.TransA = matrix.Transpose
 
 	for i := 0; i < 2; i++ {
-		if err := e.Run(asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(desc, op32(a), op32(b), op32(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +44,7 @@ func TestSpanSyncLifecycle(t *testing.T) {
 		t.Fatalf("sink received %d spans, want 2", len(got))
 	}
 	sp := got[0]
-	if sp.Op != "GEMM" || sp.DType != "s" || sp.Mode != "NN" ||
+	if sp.Op != "GEMM" || sp.DType != "s" || sp.Mode != "TN" ||
 		sp.M != 6 || sp.N != 5 || sp.K != 7 || sp.Count != 16 {
 		t.Fatalf("span descriptor = %+v", sp)
 	}

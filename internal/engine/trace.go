@@ -44,14 +44,14 @@ func gemmTrace(op OpDesc, pl *core.GEMMPlan, groups int, outcome obs.CacheOutcom
 			Detail: fmt.Sprintf("A row panels (N-shape), M tiles %v, K=%d", pl.MTiles, p.K)})
 	} else {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "none",
-			Detail: "A no-packing fast path (§4.4): native order already is the row panel"})
+			Detail: fmt.Sprintf("A read in place (§4.4): strided kernels walk compact A at stride M=%d", p.M)})
 	}
 	if pl.PackB {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "npackB",
 			Detail: fmt.Sprintf("B column panels (Z-shape), N tiles %v, K=%d", pl.NTiles, p.K)})
 	} else {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "none",
-			Detail: "B no-packing fast path (§4.4): Bᵀ storage already is the single column panel"})
+			Detail: "B read in place (§4.4): strided kernels walk compact B in either mode"})
 	}
 	if p.Beta != 0 && p.Beta != 1 {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "scale", Kernel: "nscale",

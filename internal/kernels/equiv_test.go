@@ -37,7 +37,7 @@ func TestGEMMFastMatchesGeneric(t *testing.T) {
 						c := fill64(rng, nc*strideC*vl)
 						cGen := append([]float64(nil), c...)
 						GEMM(pa, pb, c, mc, nc, k, strideC, vl, 1.5, ovw)
-						gemmGeneric(pa, pb, cGen, mc, nc, k, strideC, vl, 1.5, ovw)
+						gemmGeneric(pa, pb, cGen, mc, nc, k, Strides{A: mc, BK: nc, BN: 1, C: strideC}, vl, 1.5, ovw)
 						for i := range c {
 							if c[i] != cGen[i] {
 								t.Fatalf("vl=%d %dx%d k=%d ovw=%v: fast/generic diverge at %d", vl, mc, nc, k, ovw, i)

@@ -59,7 +59,7 @@ func LUCplx[E vec.Float](a []E, n, vl int, info []int) {
 		for lane := 0; lane < vl; lane++ {
 			re := float64(a[pivOff+lane])
 			im := float64(a[pivOff+vl+lane])
-			den := re*re + im*im
+			den := float64(re*re) + float64(im*im)
 			if den == 0 {
 				if info[lane] == 0 {
 					info[lane] = k + 1
@@ -235,7 +235,7 @@ func LUPiv[E vec.Float](a []E, n, vl int, cplx bool, piv []int32, info []int) {
 		for lane := 0; lane < vl; lane++ {
 			re := float64(a[pivOff+lane])
 			im := float64(a[pivOff+vl+lane])
-			den := re*re + im*im
+			den := float64(re*re) + float64(im*im)
 			if den != 0 {
 				recRe[lane] = E(re / den)
 				recIm[lane] = E(-im / den)

@@ -8,44 +8,49 @@ import "iatf/internal/vec"
 // and keeps the hot block arithmetic free of per-lane bounds checks. The
 // package tests assert both forms agree exactly.
 
+// The multiply-accumulate helpers round the product before the add —
+// E(a·b) is an explicit conversion, which the Go spec guarantees is not
+// fused — so every host computes FMLA as FMUL then FADD, exactly like
+// vec.FMA, the VM and the amd64 kernels.
+
 func fma4[E vec.Float](acc *[4]E, a, b *[4]E) {
-	acc[0] += a[0] * b[0]
-	acc[1] += a[1] * b[1]
-	acc[2] += a[2] * b[2]
-	acc[3] += a[3] * b[3]
+	acc[0] += E(a[0] * b[0])
+	acc[1] += E(a[1] * b[1])
+	acc[2] += E(a[2] * b[2])
+	acc[3] += E(a[3] * b[3])
 }
 
 func fms4[E vec.Float](acc *[4]E, a, b *[4]E) {
-	acc[0] -= a[0] * b[0]
-	acc[1] -= a[1] * b[1]
-	acc[2] -= a[2] * b[2]
-	acc[3] -= a[3] * b[3]
+	acc[0] -= E(a[0] * b[0])
+	acc[1] -= E(a[1] * b[1])
+	acc[2] -= E(a[2] * b[2])
+	acc[3] -= E(a[3] * b[3])
 }
 
 func fma2[E vec.Float](acc *[2]E, a, b *[2]E) {
-	acc[0] += a[0] * b[0]
-	acc[1] += a[1] * b[1]
+	acc[0] += E(a[0] * b[0])
+	acc[1] += E(a[1] * b[1])
 }
 
 func fms2[E vec.Float](acc *[2]E, a, b *[2]E) {
-	acc[0] -= a[0] * b[0]
-	acc[1] -= a[1] * b[1]
+	acc[0] -= E(a[0] * b[0])
+	acc[1] -= E(a[1] * b[1])
 }
 
-// gemm4 is GEMM for 4-lane blocks (single-precision types).
-func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool) {
+// gemm4 is GEMMStrided for 4-lane blocks (single-precision types).
+func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k int, st Strides, alpha E, ovw bool) {
 	var acc [16][4]E
 	ao, bo := 0, 0
 	for l := 0; l < k; l++ {
 		var av, bv [4]*[4]E
 		for r := 0; r < mc; r++ {
-			av[r] = (*[4]E)(pa[ao:])
-			ao += 4
+			av[r] = (*[4]E)(pa[ao+r*4:])
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[4]E)(pb[bo:])
-			bo += 4
+			bv[cc] = (*[4]E)(pb[bo+cc*st.BN*4:])
 		}
+		ao += st.A * 4
+		bo += st.BK * 4
 		for cc := 0; cc < nc; cc++ {
 			b := bv[cc]
 			for r := 0; r < mc; r++ {
@@ -55,37 +60,25 @@ func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			dst := (*[4]E)(c[(cc*strideC+r)*4:])
-			a := &acc[cc*4+r]
-			if ovw {
-				dst[0] = alpha * a[0]
-				dst[1] = alpha * a[1]
-				dst[2] = alpha * a[2]
-				dst[3] = alpha * a[3]
-			} else {
-				dst[0] += alpha * a[0]
-				dst[1] += alpha * a[1]
-				dst[2] += alpha * a[2]
-				dst[3] += alpha * a[3]
-			}
+			save4((*[4]E)(c[(cc*st.C+r)*4:]), &acc[cc*4+r], alpha, ovw)
 		}
 	}
 }
 
-// gemm2 is GEMM for 2-lane blocks (double-precision types).
-func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool) {
+// gemm2 is GEMMStrided for 2-lane blocks (double-precision types).
+func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k int, st Strides, alpha E, ovw bool) {
 	var acc [16][2]E
 	ao, bo := 0, 0
 	for l := 0; l < k; l++ {
 		var av, bv [4]*[2]E
 		for r := 0; r < mc; r++ {
-			av[r] = (*[2]E)(pa[ao:])
-			ao += 2
+			av[r] = (*[2]E)(pa[ao+r*2:])
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[2]E)(pb[bo:])
-			bo += 2
+			bv[cc] = (*[2]E)(pb[bo+cc*st.BN*2:])
 		}
+		ao += st.A * 2
+		bo += st.BK * 2
 		for cc := 0; cc < nc; cc++ {
 			b := bv[cc]
 			for r := 0; r < mc; r++ {
@@ -95,17 +88,35 @@ func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			dst := (*[2]E)(c[(cc*strideC+r)*2:])
-			a := &acc[cc*4+r]
-			if ovw {
-				dst[0] = alpha * a[0]
-				dst[1] = alpha * a[1]
-			} else {
-				dst[0] += alpha * a[0]
-				dst[1] += alpha * a[1]
-			}
+			save2((*[2]E)(c[(cc*st.C+r)*2:]), &acc[cc*4+r], alpha, ovw)
 		}
 	}
+}
+
+// save4 and save2 write one accumulator block: C = alpha·acc (ovw) or
+// C += alpha·acc, with the product rounded before the add.
+func save4[E vec.Float](dst, acc *[4]E, alpha E, ovw bool) {
+	if ovw {
+		dst[0] = alpha * acc[0]
+		dst[1] = alpha * acc[1]
+		dst[2] = alpha * acc[2]
+		dst[3] = alpha * acc[3]
+		return
+	}
+	dst[0] += E(alpha * acc[0])
+	dst[1] += E(alpha * acc[1])
+	dst[2] += E(alpha * acc[2])
+	dst[3] += E(alpha * acc[3])
+}
+
+func save2[E vec.Float](dst, acc *[2]E, alpha E, ovw bool) {
+	if ovw {
+		dst[0] = alpha * acc[0]
+		dst[1] = alpha * acc[1]
+		return
+	}
+	dst[0] += E(alpha * acc[0])
+	dst[1] += E(alpha * acc[1])
 }
 
 // gemmCplx4 is GEMMCplx for 4-lane blocks (cgemm).
@@ -145,17 +156,17 @@ func gemmCplx4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alphaRe, alph
 			// (and generated-IR) FMLA/FMLS sequence bit for bit.
 			if ovw {
 				for lane := 0; lane < 4; lane++ {
-					dRe[lane] = alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] = alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
+					dRe[lane] = E(alphaRe * accRe[i][lane])
+					dRe[lane] -= E(alphaIm * accIm[i][lane])
+					dIm[lane] = E(alphaRe * accIm[i][lane])
+					dIm[lane] += E(alphaIm * accRe[i][lane])
 				}
 			} else {
 				for lane := 0; lane < 4; lane++ {
-					dRe[lane] += alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] += alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
+					dRe[lane] += E(alphaRe * accRe[i][lane])
+					dRe[lane] -= E(alphaIm * accIm[i][lane])
+					dIm[lane] += E(alphaRe * accIm[i][lane])
+					dIm[lane] += E(alphaIm * accRe[i][lane])
 				}
 			}
 		}
@@ -199,17 +210,17 @@ func gemmCplx2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alphaRe, alph
 			// (and generated-IR) FMLA/FMLS sequence bit for bit.
 			if ovw {
 				for lane := 0; lane < 2; lane++ {
-					dRe[lane] = alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] = alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
+					dRe[lane] = E(alphaRe * accRe[i][lane])
+					dRe[lane] -= E(alphaIm * accIm[i][lane])
+					dIm[lane] = E(alphaRe * accIm[i][lane])
+					dIm[lane] += E(alphaIm * accRe[i][lane])
 				}
 			} else {
 				for lane := 0; lane < 2; lane++ {
-					dRe[lane] += alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] += alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
+					dRe[lane] += E(alphaRe * accRe[i][lane])
+					dRe[lane] -= E(alphaIm * accIm[i][lane])
+					dIm[lane] += E(alphaRe * accIm[i][lane])
+					dIm[lane] += E(alphaIm * accRe[i][lane])
 				}
 			}
 		}
@@ -337,23 +348,25 @@ func tri2[E vec.Float](pa, b []E, m, ncols, strideB int) {
 }
 
 // gemm44x4 is the fully unrolled 4-lane main kernel (mc = nc = 4) — the
-// hottest code path; accumulators live in named locals.
-func gemm44x4[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
+// Go fallback of the hottest code path; accumulators live in named locals.
+func gemm44x4[E vec.Float](pa, pb, c []E, k int, st Strides, alpha E, ovw bool) {
 	var c00, c10, c20, c30 [4]E
 	var c01, c11, c21, c31 [4]E
 	var c02, c12, c22, c32 [4]E
 	var c03, c13, c23, c33 [4]E
-	o := 0
+	ao, bo := 0, 0
+	bn := st.BN * 4
 	for l := 0; l < k; l++ {
-		a0 := (*[4]E)(pa[o:])
-		a1 := (*[4]E)(pa[o+4:])
-		a2 := (*[4]E)(pa[o+8:])
-		a3 := (*[4]E)(pa[o+12:])
-		b0 := (*[4]E)(pb[o:])
-		b1 := (*[4]E)(pb[o+4:])
-		b2 := (*[4]E)(pb[o+8:])
-		b3 := (*[4]E)(pb[o+12:])
-		o += 16
+		a0 := (*[4]E)(pa[ao:])
+		a1 := (*[4]E)(pa[ao+4:])
+		a2 := (*[4]E)(pa[ao+8:])
+		a3 := (*[4]E)(pa[ao+12:])
+		b0 := (*[4]E)(pb[bo:])
+		b1 := (*[4]E)(pb[bo+bn:])
+		b2 := (*[4]E)(pb[bo+2*bn:])
+		b3 := (*[4]E)(pb[bo+3*bn:])
+		ao += st.A * 4
+		bo += st.BK * 4
 		fma4(&c00, a0, b0)
 		fma4(&c10, a1, b0)
 		fma4(&c20, a2, b0)
@@ -371,21 +384,8 @@ func gemm44x4[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
 		fma4(&c23, a2, b3)
 		fma4(&c33, a3, b3)
 	}
-	save := func(off int, acc *[4]E) {
-		dst := (*[4]E)(c[off:])
-		if ovw {
-			dst[0] = alpha * acc[0]
-			dst[1] = alpha * acc[1]
-			dst[2] = alpha * acc[2]
-			dst[3] = alpha * acc[3]
-			return
-		}
-		dst[0] += alpha * acc[0]
-		dst[1] += alpha * acc[1]
-		dst[2] += alpha * acc[2]
-		dst[3] += alpha * acc[3]
-	}
-	s := strideC * 4
+	save := func(off int, acc *[4]E) { save4((*[4]E)(c[off:]), acc, alpha, ovw) }
+	s := st.C * 4
 	save(0, &c00)
 	save(4, &c10)
 	save(8, &c20)
@@ -405,22 +405,24 @@ func gemm44x4[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
 }
 
 // gemm44x2 is the fully unrolled 2-lane main kernel (mc = nc = 4).
-func gemm44x2[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
+func gemm44x2[E vec.Float](pa, pb, c []E, k int, st Strides, alpha E, ovw bool) {
 	var c00, c10, c20, c30 [2]E
 	var c01, c11, c21, c31 [2]E
 	var c02, c12, c22, c32 [2]E
 	var c03, c13, c23, c33 [2]E
-	o := 0
+	ao, bo := 0, 0
+	bn := st.BN * 2
 	for l := 0; l < k; l++ {
-		a0 := (*[2]E)(pa[o:])
-		a1 := (*[2]E)(pa[o+2:])
-		a2 := (*[2]E)(pa[o+4:])
-		a3 := (*[2]E)(pa[o+6:])
-		b0 := (*[2]E)(pb[o:])
-		b1 := (*[2]E)(pb[o+2:])
-		b2 := (*[2]E)(pb[o+4:])
-		b3 := (*[2]E)(pb[o+6:])
-		o += 8
+		a0 := (*[2]E)(pa[ao:])
+		a1 := (*[2]E)(pa[ao+2:])
+		a2 := (*[2]E)(pa[ao+4:])
+		a3 := (*[2]E)(pa[ao+6:])
+		b0 := (*[2]E)(pb[bo:])
+		b1 := (*[2]E)(pb[bo+bn:])
+		b2 := (*[2]E)(pb[bo+2*bn:])
+		b3 := (*[2]E)(pb[bo+3*bn:])
+		ao += st.A * 2
+		bo += st.BK * 2
 		fma2(&c00, a0, b0)
 		fma2(&c10, a1, b0)
 		fma2(&c20, a2, b0)
@@ -438,17 +440,8 @@ func gemm44x2[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
 		fma2(&c23, a2, b3)
 		fma2(&c33, a3, b3)
 	}
-	save := func(off int, acc *[2]E) {
-		dst := (*[2]E)(c[off:])
-		if ovw {
-			dst[0] = alpha * acc[0]
-			dst[1] = alpha * acc[1]
-			return
-		}
-		dst[0] += alpha * acc[0]
-		dst[1] += alpha * acc[1]
-	}
-	s := strideC * 2
+	save := func(off int, acc *[2]E) { save2((*[2]E)(c[off:]), acc, alpha, ovw) }
+	s := st.C * 2
 	save(0, &c00)
 	save(2, &c10)
 	save(4, &c20)

@@ -6,11 +6,54 @@
 // validate the install-time generator/optimizer and to drive the cycle
 // model.
 //
+// On amd64 hosts with AVX, the real 4×4 strided family (GEMM, Rect,
+// RectAdd) and the m ≤ 5 triangular kernels (Tri, TriMul) run generated
+// assembly (avx_amd64.s, from iatf-asm -emit amd64); the Go kernels are
+// the fallback everywhere else and the oracle the assembly is tested
+// against bit for bit. ISA reports which is selected.
+//
 // All kernels operate on slices of the real component type; complex data
 // uses the split-plane block format of the compact layout.
 package kernels
 
 import "iatf/internal/vec"
+
+// ISA names the instruction set the real compute kernels run on: "avx"
+// when the generated amd64 kernels are selected (amd64 host with AVX and
+// OS-enabled YMM state, no purego tag), else "go" for the Go kernels.
+func ISA() string { return isa() }
+
+// Strides locates the operand blocks of one strided kernel call, in
+// blocks of vl elements: A(r, l) at l·A + r, B(l, j) at l·BK + j·BN and
+// C(r, j) at j·C + r. Rows of A and C are always adjacent, which is what
+// lets the executors read compact storage in place: a packed mc×K panel
+// is A = mc, a non-transposed compact A is A = M, a packed K×nc panel is
+// (BK, BN) = (nc, 1), compact B is (1, K) and compact Bᵀ is (N, 1).
+type Strides struct{ A, BK, BN, C int }
+
+// check panics unless slices of the given lengths hold every block an
+// mc×nc×k call touches.
+func (st Strides) check(lenA, lenB, lenC, mc, nc, k, vl int) {
+	if ((k-1)*st.A+mc)*vl > lenA || ((k-1)*st.BK+(nc-1)*st.BN+1)*vl > lenB || ((nc-1)*st.C+mc)*vl > lenC {
+		panic("kernels: operand slice shorter than the kernel's extent")
+	}
+}
+
+// checkTri is check for the triangular kernels.
+func checkTri(lenA, lenB, m, ncols, strideB, vl int) {
+	if m*(m+1)/2*vl > lenA || ((ncols-1)*strideB+m)*vl > lenB {
+		panic("kernels: operand slice shorter than the kernel's extent")
+	}
+}
+
+// rectKind selects the member of the strided 4×4 family.
+type rectKind int
+
+const (
+	kindGEMM    rectKind = iota // zero-init, add, alpha save
+	kindRect                    // load C, sub, plain store
+	kindRectAdd                 // load C, add, plain store
+)
 
 // GEMM computes one C tile update: C += alpha·A·B over an interleave
 // group, consuming a packed mc×K A panel (N-shape) and a packed K×nc B
@@ -19,36 +62,43 @@ import "iatf/internal/vec"
 // ovw selects the overwrite save (C = alpha·A·B, the beta = 0 case) so the
 // caller can skip both the beta pre-scale pass and the C read.
 func GEMM[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw bool) {
-	switch {
-	case vl == 4 && mc == 4 && nc == 4:
-		gemm44x4(pa, pb, c, k, strideC, alpha, ovw)
-		return
-	case vl == 2 && mc == 4 && nc == 4:
-		gemm44x2(pa, pb, c, k, strideC, alpha, ovw)
-		return
-	case vl == 4:
-		gemm4(pa, pb, c, mc, nc, k, strideC, alpha, ovw)
-		return
-	case vl == 2:
-		gemm2(pa, pb, c, mc, nc, k, strideC, alpha, ovw)
-		return
-	}
-	gemmGeneric(pa, pb, c, mc, nc, k, strideC, vl, alpha, ovw)
+	GEMMStrided(pa, pb, c, mc, nc, k, Strides{A: mc, BK: nc, BN: 1, C: strideC}, vl, alpha, ovw)
 }
 
-// gemmGeneric is the portable reference form of GEMM for any lane count.
-func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw bool) {
+// GEMMStrided is GEMM over operands at arbitrary block strides, so the
+// executors can walk compact A and B in place; packed panels are one
+// stride setting (see Strides).
+func GEMMStrided[E vec.Float](pa, pb, c []E, mc, nc, k int, st Strides, vl int, alpha E, ovw bool) {
+	switch {
+	case mc == 4 && nc == 4 && rectAsm(kindGEMM, pa, pb, c, k, st, vl, alpha, ovw):
+		return
+	case vl == 4 && mc == 4 && nc == 4:
+		gemm44x4(pa, pb, c, k, st, alpha, ovw)
+		return
+	case vl == 2 && mc == 4 && nc == 4:
+		gemm44x2(pa, pb, c, k, st, alpha, ovw)
+		return
+	case vl == 4:
+		gemm4(pa, pb, c, mc, nc, k, st, alpha, ovw)
+		return
+	case vl == 2:
+		gemm2(pa, pb, c, mc, nc, k, st, alpha, ovw)
+		return
+	}
+	gemmGeneric(pa, pb, c, mc, nc, k, st, vl, alpha, ovw)
+}
+
+// gemmGeneric is the portable reference form of GEMMStrided for any lane
+// count.
+func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k int, st Strides, vl int, alpha E, ovw bool) {
 	var acc [4][4]vec.V[E]
-	ao, bo := 0, 0
 	for l := 0; l < k; l++ {
 		var av, bv [4]vec.V[E]
 		for r := 0; r < mc; r++ {
-			av[r] = vec.Load(pa[ao:], vl)
-			ao += vl
+			av[r] = vec.Load(pa[(l*st.A+r)*vl:], vl)
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = vec.Load(pb[bo:], vl)
-			bo += vl
+			bv[cc] = vec.Load(pb[(l*st.BK+cc*st.BN)*vl:], vl)
 		}
 		for cc := 0; cc < nc; cc++ {
 			for r := 0; r < mc; r++ {
@@ -59,7 +109,7 @@ func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E
 	va := vec.Dup(alpha)
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			off := (cc*strideC + r) * vl
+			off := (cc*st.C + r) * vl
 			var cur vec.V[E]
 			if !ovw {
 				cur = vec.Load(c[off:], vl)
@@ -136,6 +186,9 @@ func gemmCplxGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alp
 // with reciprocal diagonals; column c of B lives at c·strideB·vl.
 // m ≤ 5 (real register budget).
 func Tri[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+	if triAsm(false, pa, b, m, ncols, strideB, vl) {
+		return
+	}
 	switch vl {
 	case 4:
 		tri4(pa, b, m, ncols, strideB)
@@ -214,6 +267,9 @@ func TriCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 // B -= L·X, with L packed column-major (mc blocks per reduction step) and
 // X read strided from the solved rows.
 func Rect[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+	if mc == 4 && nc == 4 && rectAsm(kindRect, pa, x, c, k, Strides{A: 4, BK: 1, BN: strideX, C: strideC}, vl, 0, false) {
+		return
+	}
 	switch vl {
 	case 4:
 		rect4(pa, x, c, mc, nc, k, strideC, strideX)

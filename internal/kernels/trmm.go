@@ -18,6 +18,9 @@ import "iatf/internal/vec"
 // lower triangle (m ≤ 5 real). Rows are processed bottom-up so x_j
 // (j < i) is still the original value when row i consumes it.
 func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+	if triAsm(true, pa, b, m, ncols, strideB, vl) {
+		return
+	}
 	if vl == 4 {
 		triMul4(pa, b, m, ncols, strideB)
 		return
@@ -67,10 +70,10 @@ func triMul4[E vec.Float](pa, b []E, m, ncols, strideB int) {
 			row := i * (i + 1) / 2
 			d := a[row+i]
 			var acc [4]E
-			acc[0] = x[i][0] * d[0]
-			acc[1] = x[i][1] * d[1]
-			acc[2] = x[i][2] * d[2]
-			acc[3] = x[i][3] * d[3]
+			acc[0] = E(x[i][0] * d[0])
+			acc[1] = E(x[i][1] * d[1])
+			acc[2] = E(x[i][2] * d[2])
+			acc[3] = E(x[i][3] * d[3])
 			for j := 0; j < i; j++ {
 				fma4(&acc, a[row+j], &x[j])
 			}
@@ -98,8 +101,8 @@ func triMul2[E vec.Float](pa, b []E, m, ncols, strideB int) {
 			row := i * (i + 1) / 2
 			d := a[row+i]
 			var acc [2]E
-			acc[0] = x[i][0] * d[0]
-			acc[1] = x[i][1] * d[1]
+			acc[0] = E(x[i][0] * d[0])
+			acc[1] = E(x[i][1] * d[1])
 			for j := 0; j < i; j++ {
 				fma2(&acc, a[row+j], &x[j])
 			}
@@ -150,6 +153,9 @@ func TriMulCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 // RectAdd applies B_tile += L·X — the accumulating (FMLA) form of the
 // TRSM rectangular kernel, used by the blocked TRMM.
 func RectAdd[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+	if mc == 4 && nc == 4 && rectAsm(kindRectAdd, pa, x, c, k, Strides{A: 4, BK: 1, BN: strideX, C: strideC}, vl, 0, false) {
+		return
+	}
 	if vl == 4 {
 		rectAdd4(pa, x, c, mc, nc, k, strideC, strideX)
 		return

@@ -180,7 +180,7 @@ func recipBlock[E vec.Float](c *Ctx[E], src, dst int) {
 		for lane := 0; lane < vl; lane++ {
 			re := float64(c.Mem[src+lane])
 			im := float64(c.Mem[src+vl+lane])
-			den := re*re + im*im
+			den := float64(re*re) + float64(im*im)
 			if den != 0 {
 				c.Mem[dst+lane] = E(re / den)
 				c.Mem[dst+vl+lane] = E(-im / den)
@@ -361,8 +361,8 @@ func Scale[E vec.Float](c *Ctx[E], g Geom, re, im float64) {
 				for lane := 0; lane < vl; lane++ {
 					r := float64(c.Mem[off+lane])
 					m := float64(c.Mem[off+vl+lane])
-					c.Mem[off+lane] = E(r*re - m*im)
-					c.Mem[off+vl+lane] = E(r*im + m*re)
+					c.Mem[off+lane] = E(float64(r*re) - float64(m*im))
+					c.Mem[off+vl+lane] = E(float64(r*im) + float64(m*re))
 				}
 			}
 			c.Rec.record(off, off, bl)

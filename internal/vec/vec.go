@@ -60,9 +60,10 @@ func Sub[E Float](a, b V[E]) V[E] {
 	return V[E]{a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]}
 }
 
-// Mul returns a * b lane-wise (FMUL).
+// Mul returns a * b lane-wise (FMUL), rounded as a product of its own so
+// a following Add or FMA never fuses with it.
 func Mul[E Float](a, b V[E]) V[E] {
-	return V[E]{a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]}
+	return V[E]{E(a[0] * b[0]), E(a[1] * b[1]), E(a[2] * b[2]), E(a[3] * b[3])}
 }
 
 // Div returns a / b lane-wise (FDIV). The IATF packing kernels store
@@ -73,15 +74,21 @@ func Div[E Float](a, b V[E]) V[E] {
 	return V[E]{a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3]}
 }
 
-// FMA returns acc + a*b lane-wise (FMLA).
+// FMA returns acc + a*b lane-wise (FMLA) with unfused semantics: the
+// product is rounded to E before the add. The E(...) conversion is what
+// guarantees it — the Go spec forbids fusing across an explicit
+// conversion, while a bare acc + a*b may compile to a fused multiply-add
+// (FMADD on arm64). One rounding rule on every host keeps the VM, the Go
+// kernels and the amd64 kernels bit-identical.
 func FMA[E Float](acc, a, b V[E]) V[E] {
-	return V[E]{acc[0] + a[0]*b[0], acc[1] + a[1]*b[1], acc[2] + a[2]*b[2], acc[3] + a[3]*b[3]}
+	return V[E]{acc[0] + E(a[0]*b[0]), acc[1] + E(a[1]*b[1]), acc[2] + E(a[2]*b[2]), acc[3] + E(a[3]*b[3])}
 }
 
-// FMS returns acc - a*b lane-wise (FMLS). The TRSM rectangular kernel is
-// built on FMLS so the -1 GEMM alpha costs no extra multiplies (paper Eq. 4).
+// FMS returns acc - a*b lane-wise (FMLS), unfused like FMA. The TRSM
+// rectangular kernel is built on FMLS so the -1 GEMM alpha costs no extra
+// multiplies (paper Eq. 4).
 func FMS[E Float](acc, a, b V[E]) V[E] {
-	return V[E]{acc[0] - a[0]*b[0], acc[1] - a[1]*b[1], acc[2] - a[2]*b[2], acc[3] - a[3]*b[3]}
+	return V[E]{acc[0] - E(a[0]*b[0]), acc[1] - E(a[1]*b[1]), acc[2] - E(a[2]*b[2]), acc[3] - E(a[3]*b[3])}
 }
 
 // Neg returns -a lane-wise (FNEG).
