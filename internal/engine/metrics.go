@@ -20,8 +20,8 @@ import (
 	"strconv"
 	"strings"
 
+	"iatf/internal/kernels"
 	"iatf/internal/obs"
-	"iatf/internal/vec"
 )
 
 // BuildInfo identifies the running module build — exported metrics dumps
@@ -31,8 +31,8 @@ type BuildInfo struct {
 	Version    string `json:"version"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// SIMDBackend names the vector model the kernels execute on
-	// (the portable 128-bit NEON emulation in this reproduction).
+	// SIMDBackend names the instruction set the real compute kernels run
+	// on: "avx" (generated amd64 kernels) or "go" (see kernels.ISA).
 	SIMDBackend string `json:"simd_backend"`
 }
 
@@ -43,7 +43,7 @@ func Build() BuildInfo {
 		Version:     "(devel)",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		SIMDBackend: fmt.Sprintf("portable-neon%d", vec.Width*8),
+		SIMDBackend: kernels.ISA(),
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		if info.Main.Path != "" {
